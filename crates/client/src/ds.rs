@@ -1036,10 +1036,12 @@ impl KvClient {
         &self.core.name
     }
 
+    /// Routes `key` to its owning block, cloning only that block's
+    /// location out of the view (under the read lock).
     fn owner_of(&self, key: &[u8]) -> Result<BlockLocation> {
-        match self.core.view() {
+        match &*self.core.view.read() {
             PartitionView::Kv { num_slots, slots } => {
-                let slot = jiffy_ds::kv_slot(key, num_slots);
+                let slot = jiffy_ds::kv_slot(key, *num_slots);
                 slots
                     .iter()
                     .find(|s| s.contains(slot))

@@ -60,15 +60,14 @@ fn cached_env_u64(cell: &AtomicU64, env_var: &str, default: u64) -> u64 {
 }
 
 static RPC_WORKERS: AtomicU64 = AtomicU64::new(0);
-static RPC_INBOX_LIMIT: AtomicU64 = AtomicU64::new(0);
 static RPC_EGRESS_CAP: AtomicU64 = AtomicU64::new(0);
 static RPC_CLIENT_REACTORS: AtomicU64 = AtomicU64::new(0);
 
-/// Size of the fixed worker pool behind each TCP server's reactor
-/// (request execution happens on these threads, never on the reactor
-/// thread). Default: the machine's available parallelism clamped to
-/// `[2, 8]`; override with `JIFFY_RPC_WORKERS` (read once, then cached)
-/// or [`set_rpc_workers`].
+/// Number of executor threads behind each TCP server: they read,
+/// execute and reply to requests run-to-completion (the listener has its
+/// own acceptor thread). Default: the machine's available parallelism
+/// clamped to `[2, 8]`; override with `JIFFY_RPC_WORKERS` (read once,
+/// then cached) or [`set_rpc_workers`].
 pub fn rpc_workers() -> usize {
     let default = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -77,26 +76,11 @@ pub fn rpc_workers() -> usize {
     cached_env_u64(&RPC_WORKERS, "JIFFY_RPC_WORKERS", default) as usize
 }
 
-/// Overrides the server worker-pool size process-wide (existing servers
-/// keep the pool they started with; new `serve_tcp` calls see the new
-/// value). Values round up to 1.
+/// Overrides the server executor count process-wide (existing servers
+/// keep the executors they started with; new `serve_tcp` calls see the
+/// new value). Values round up to 1.
 pub fn set_rpc_workers(n: usize) {
     RPC_WORKERS.store((n as u64).max(1), Ordering::Relaxed);
-}
-
-/// Per-session ingress backlog: how many decoded-but-unexecuted request
-/// frames one session may queue before the reactor stops reading its
-/// socket (backpressure propagates to the peer through TCP flow
-/// control). Default 256; override with `JIFFY_RPC_INBOX_LIMIT` or
-/// [`set_rpc_inbox_limit`].
-pub fn rpc_inbox_limit() -> usize {
-    cached_env_u64(&RPC_INBOX_LIMIT, "JIFFY_RPC_INBOX_LIMIT", 256) as usize
-}
-
-/// Overrides the per-session ingress backlog process-wide. Values round
-/// up to 1.
-pub fn set_rpc_inbox_limit(n: usize) {
-    RPC_INBOX_LIMIT.store((n as u64).max(1), Ordering::Relaxed);
 }
 
 /// Per-socket egress-queue cap in bytes: senders whose peer stops
@@ -117,9 +101,10 @@ pub fn set_rpc_egress_cap(bytes: usize) {
     RPC_EGRESS_CAP.store((bytes as u64).max(1), Ordering::Relaxed);
 }
 
-/// Number of shared client-side reactor threads demultiplexing *all*
-/// outbound TCP connections of this process (connections are assigned
-/// round-robin at dial time). Default: available parallelism / 4 clamped
+/// Number of shared client-side reactor threads behind *all* outbound
+/// TCP connections of this process (connections are assigned round-robin
+/// at dial time). A reactor reads a connection only while no caller is
+/// waiting on it — callers read their own replies. Default: available parallelism / 4 clamped
 /// to `[1, 4]`; override with `JIFFY_CLIENT_REACTORS`. Read once at the
 /// first dial — there is no setter, because resizing a live pool would
 /// strand registered connections.

@@ -23,9 +23,8 @@ pub mod size;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{
-    call_timeout, rpc_client_reactors, rpc_egress_cap, rpc_inbox_limit, rpc_workers,
-    set_call_timeout, set_rpc_egress_cap, set_rpc_inbox_limit, set_rpc_workers, JiffyConfig,
-    QosConfig, DEFAULT_CALL_TIMEOUT,
+    call_timeout, rpc_client_reactors, rpc_egress_cap, rpc_workers, set_call_timeout,
+    set_rpc_egress_cap, set_rpc_workers, JiffyConfig, QosConfig, DEFAULT_CALL_TIMEOUT,
 };
 pub use error::{JiffyError, Result};
 pub use id::{BlockId, JobId, ServerId, TenantId};

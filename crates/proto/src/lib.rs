@@ -30,4 +30,4 @@ pub use messages::{
     OpKind, PartitionView, PrefixView, Replica, ServerInfo, ShardMap, SlotRange, SplitSpec,
     TenantLimit, TenantLoad, TenantStatsEntry, CLIENT_RID_BASE, INTERNAL_RID,
 };
-pub use wire::{from_bytes, to_bytes, to_bytes_into};
+pub use wire::{encoded_len, from_bytes, to_bytes, to_bytes_into};

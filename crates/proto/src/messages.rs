@@ -916,6 +916,22 @@ impl DsOp {
         }
     }
 
+    /// True for ops that never mutate their block, so executing one twice
+    /// is harmless. `Custom` ops are not, whatever they do: their effect
+    /// is opaque here ([`DsOp::kind`] is `None` even for a mutating one).
+    pub fn is_read(&self) -> bool {
+        matches!(
+            self,
+            Self::Get { .. }
+                | Self::Exists { .. }
+                | Self::FileRead { .. }
+                | Self::FileSize
+                | Self::Peek
+                | Self::QueueLen
+                | Self::KvCount
+        )
+    }
+
     /// Payload bytes this op carries *into* the server — what per-tenant
     /// admission control charges against the ingress byte budget.
     pub fn ingress_bytes(&self) -> u64 {

@@ -57,6 +57,18 @@ pub fn to_bytes_into<T: Serialize>(value: &T, out: &mut Vec<u8>) -> Result<(), J
     result.map_err(Into::into)
 }
 
+/// The number of bytes [`to_bytes`] would produce for `value`, computed
+/// by the same serializer without building the bytes.
+///
+/// # Errors
+///
+/// Returns [`JiffyError::Codec`] exactly when [`to_bytes`] would.
+pub fn encoded_len<T: Serialize + ?Sized>(value: &T) -> Result<usize, JiffyError> {
+    let mut ser = WireSerializer { out: ByteCount(0) };
+    value.serialize(&mut ser)?;
+    Ok(ser.out.0)
+}
+
 /// Deserializes a value previously produced by [`to_bytes`].
 ///
 /// # Errors
@@ -114,11 +126,41 @@ impl From<WireError> for JiffyError {
 // Serializer
 // ---------------------------------------------------------------------------
 
-struct WireSerializer {
-    out: Vec<u8>,
+/// Where a [`WireSerializer`] puts its bytes: a buffer, or a counter
+/// that only measures them ([`encoded_len`]).
+trait WireOut {
+    fn push(&mut self, byte: u8);
+    fn extend_from_slice(&mut self, bytes: &[u8]);
 }
 
-impl WireSerializer {
+impl WireOut for Vec<u8> {
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// Counts the bytes it is given and keeps none of them.
+struct ByteCount(usize);
+
+impl WireOut for ByteCount {
+    fn push(&mut self, _byte: u8) {
+        self.0 += 1;
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+struct WireSerializer<O> {
+    out: O,
+}
+
+impl<O: WireOut> WireSerializer<O> {
     fn put_len(&mut self, len: usize) -> Result<(), WireError> {
         let len: u32 = len
             .try_into()
@@ -128,16 +170,16 @@ impl WireSerializer {
     }
 }
 
-impl<'a> ser::Serializer for &'a mut WireSerializer {
+impl<'a, O: WireOut> ser::Serializer for &'a mut WireSerializer<O> {
     type Ok = ();
     type Error = WireError;
-    type SerializeSeq = Compound<'a>;
-    type SerializeTuple = Compound<'a>;
-    type SerializeTupleStruct = Compound<'a>;
-    type SerializeTupleVariant = Compound<'a>;
-    type SerializeMap = Compound<'a>;
-    type SerializeStruct = Compound<'a>;
-    type SerializeStructVariant = Compound<'a>;
+    type SerializeSeq = Compound<'a, O>;
+    type SerializeTuple = Compound<'a, O>;
+    type SerializeTupleStruct = Compound<'a, O>;
+    type SerializeTupleVariant = Compound<'a, O>;
+    type SerializeMap = Compound<'a, O>;
+    type SerializeStruct = Compound<'a, O>;
+    type SerializeStructVariant = Compound<'a, O>;
 
     fn serialize_bool(self, v: bool) -> Result<(), WireError> {
         self.out.push(v as u8);
@@ -264,13 +306,13 @@ impl<'a> ser::Serializer for &'a mut WireSerializer {
         value.serialize(self)
     }
 
-    fn serialize_seq(self, len: Option<usize>) -> Result<Compound<'a>, WireError> {
+    fn serialize_seq(self, len: Option<usize>) -> Result<Compound<'a, O>, WireError> {
         let len = len.ok_or_else(|| WireError(codec_err("sequence length must be known")))?;
         self.put_len(len)?;
         Ok(Compound { ser: self })
     }
 
-    fn serialize_tuple(self, _len: usize) -> Result<Compound<'a>, WireError> {
+    fn serialize_tuple(self, _len: usize) -> Result<Compound<'a, O>, WireError> {
         Ok(Compound { ser: self })
     }
 
@@ -278,7 +320,7 @@ impl<'a> ser::Serializer for &'a mut WireSerializer {
         self,
         _name: &'static str,
         _len: usize,
-    ) -> Result<Compound<'a>, WireError> {
+    ) -> Result<Compound<'a, O>, WireError> {
         Ok(Compound { ser: self })
     }
 
@@ -288,18 +330,22 @@ impl<'a> ser::Serializer for &'a mut WireSerializer {
         variant_index: u32,
         _variant: &'static str,
         _len: usize,
-    ) -> Result<Compound<'a>, WireError> {
+    ) -> Result<Compound<'a, O>, WireError> {
         self.serialize_u32(variant_index)?;
         Ok(Compound { ser: self })
     }
 
-    fn serialize_map(self, len: Option<usize>) -> Result<Compound<'a>, WireError> {
+    fn serialize_map(self, len: Option<usize>) -> Result<Compound<'a, O>, WireError> {
         let len = len.ok_or_else(|| WireError(codec_err("map length must be known")))?;
         self.put_len(len)?;
         Ok(Compound { ser: self })
     }
 
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a>, WireError> {
+    fn serialize_struct(
+        self,
+        _name: &'static str,
+        _len: usize,
+    ) -> Result<Compound<'a, O>, WireError> {
         Ok(Compound { ser: self })
     }
 
@@ -309,7 +355,7 @@ impl<'a> ser::Serializer for &'a mut WireSerializer {
         variant_index: u32,
         _variant: &'static str,
         _len: usize,
-    ) -> Result<Compound<'a>, WireError> {
+    ) -> Result<Compound<'a, O>, WireError> {
         self.serialize_u32(variant_index)?;
         Ok(Compound { ser: self })
     }
@@ -319,11 +365,11 @@ impl<'a> ser::Serializer for &'a mut WireSerializer {
     }
 }
 
-struct Compound<'a> {
-    ser: &'a mut WireSerializer,
+struct Compound<'a, O> {
+    ser: &'a mut WireSerializer<O>,
 }
 
-impl ser::SerializeSeq for Compound<'_> {
+impl<O: WireOut> ser::SerializeSeq for Compound<'_, O> {
     type Ok = ();
     type Error = WireError;
 
@@ -336,7 +382,7 @@ impl ser::SerializeSeq for Compound<'_> {
     }
 }
 
-impl ser::SerializeTuple for Compound<'_> {
+impl<O: WireOut> ser::SerializeTuple for Compound<'_, O> {
     type Ok = ();
     type Error = WireError;
 
@@ -349,7 +395,7 @@ impl ser::SerializeTuple for Compound<'_> {
     }
 }
 
-impl ser::SerializeTupleStruct for Compound<'_> {
+impl<O: WireOut> ser::SerializeTupleStruct for Compound<'_, O> {
     type Ok = ();
     type Error = WireError;
 
@@ -362,7 +408,7 @@ impl ser::SerializeTupleStruct for Compound<'_> {
     }
 }
 
-impl ser::SerializeTupleVariant for Compound<'_> {
+impl<O: WireOut> ser::SerializeTupleVariant for Compound<'_, O> {
     type Ok = ();
     type Error = WireError;
 
@@ -375,7 +421,7 @@ impl ser::SerializeTupleVariant for Compound<'_> {
     }
 }
 
-impl ser::SerializeMap for Compound<'_> {
+impl<O: WireOut> ser::SerializeMap for Compound<'_, O> {
     type Ok = ();
     type Error = WireError;
 
@@ -392,7 +438,7 @@ impl ser::SerializeMap for Compound<'_> {
     }
 }
 
-impl ser::SerializeStruct for Compound<'_> {
+impl<O: WireOut> ser::SerializeStruct for Compound<'_, O> {
     type Ok = ();
     type Error = WireError;
 
@@ -409,7 +455,7 @@ impl ser::SerializeStruct for Compound<'_> {
     }
 }
 
-impl ser::SerializeStructVariant for Compound<'_> {
+impl<O: WireOut> ser::SerializeStructVariant for Compound<'_, O> {
     type Ok = ();
     type Error = WireError;
 
@@ -753,6 +799,11 @@ mod tests {
 
     fn round_trip<T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = to_bytes(&v).unwrap();
+        assert_eq!(
+            encoded_len(&v).unwrap(),
+            bytes.len(),
+            "encoded_len of {v:?}"
+        );
         let back: T = from_bytes(&bytes).unwrap();
         assert_eq!(v, back);
     }

@@ -16,17 +16,21 @@
 //!   failure between an executed write and its retry.
 //!
 //! Request ids of `0` (unstamped requests and push traffic) bypass the
-//! cache. The per-session cache is bounded ([`DEDUP_CACHE_PER_SESSION`]
-//! most-recent entries) and dropped when the session disconnects — so
-//! deduplication holds across retries on one connection, which is the
-//! window in which a client reuses a request id on a *healthy* chain.
+//! cache, and so do read-only data ops (see [`DsOp::is_read`]): running a
+//! read twice is harmless, and caching it would cost a lock round trip
+//! and a response clone on the hottest path. The per-session cache is
+//! bounded ([`DEDUP_CACHE_PER_SESSION`] most-recent entries, charged
+//! their encoded size against [`DEDUP_BYTES_PER_SESSION`]) and dropped
+//! when the session disconnects — so deduplication holds across retries
+//! on one connection, which is the window in which a client reuses a
+//! request id on a *healthy* chain.
 
 use jiffy_sync::Arc;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use jiffy_common::{JiffyError, Result};
-use jiffy_proto::Envelope;
+use jiffy_proto::{DataRequest, DsOp, Envelope};
 use jiffy_sync::Mutex;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -35,6 +39,11 @@ use crate::service::{Service, SessionHandle};
 
 /// Responses remembered per session before eviction.
 pub const DEDUP_CACHE_PER_SESSION: usize = 128;
+
+/// Encoded response bytes remembered per session before eviction (the
+/// newest response is always kept, so one larger than this stays
+/// replayable until the next arrives).
+pub const DEDUP_BYTES_PER_SESSION: u64 = 1024 * 1024;
 
 /// A bounded `(request id → value)` replay window with LRU eviction.
 ///
@@ -272,10 +281,11 @@ impl<S: Service> Deduplicated<S> {
         Self::with_capacity(inner, DEDUP_CACHE_PER_SESSION)
     }
 
-    /// Wraps `inner` with a replay cache of `capacity` entries per
-    /// session (minimum 1). Small capacities shrink the retry window —
-    /// the loom model in `tests/loom_dedup.rs` uses this to make the
-    /// retry-vs-eviction race explorable.
+    /// Wraps `inner` with a replay cache of `capacity` entries (at least
+    /// one) and [`DEDUP_BYTES_PER_SESSION`] bytes per session. Small
+    /// capacities shrink the retry window — the loom model in
+    /// `tests/loom_dedup.rs` uses this to make the retry-vs-eviction race
+    /// explorable.
     pub fn with_capacity(inner: S, capacity: usize) -> Self {
         Self {
             inner,
@@ -300,11 +310,29 @@ impl<S: Service> Deduplicated<S> {
         self.replays.load(jiffy_sync::atomic::Ordering::Relaxed)
     }
 
+    /// The id to deduplicate `req` under, or `None` when it bypasses the
+    /// cache: unstamped, or a data op (or all-read batch) that cannot
+    /// mutate.
     fn request_id(req: &Envelope) -> Option<u64> {
         match req {
-            Envelope::ControlReq { id, .. } | Envelope::DataReq { id, .. } if *id != 0 => Some(*id),
+            Envelope::ControlReq { id, .. } if *id != 0 => Some(*id),
+            Envelope::DataReq { id, req, .. } if *id != 0 => {
+                let read_only = match req {
+                    DataRequest::Op { op, .. } => op.is_read(),
+                    DataRequest::Batch { ops, .. } => ops.iter().all(DsOp::is_read),
+                    _ => false,
+                };
+                (!read_only).then_some(*id)
+            }
             _ => None,
         }
+    }
+
+    /// The byte weight a cached response is charged: its encoded size.
+    fn weight(resp: &Envelope) -> u64 {
+        // Unencodable responses never reach the wire; charge the whole
+        // budget so they cannot pile up.
+        jiffy_proto::encoded_len(resp).map_or(DEDUP_BYTES_PER_SESSION, |n| n as u64)
     }
 
     /// Error answers mean "the op did not take effect" — a `Throttled`
@@ -342,11 +370,12 @@ impl<S: Service> Service for Deduplicated<S> {
         // the cache closes the much wider retry-after-timeout window.
         let resp = self.inner.handle(req, session);
         if !Self::is_error(&resp) {
+            let bytes = Self::weight(&resp);
             self.sessions
                 .lock()
                 .entry(session.id())
-                .or_insert_with(|| ReplayWindow::new(self.capacity, u64::MAX))
-                .insert(id, resp.clone(), 0);
+                .or_insert_with(|| ReplayWindow::new(self.capacity, DEDUP_BYTES_PER_SESSION))
+                .insert(id, resp.clone(), bytes);
         }
         resp
     }
@@ -576,6 +605,102 @@ mod tests {
         let b = d.handle(req(9), &s);
         assert_eq!(a, b);
         assert_eq!(d.inner().executed.load(Ordering::SeqCst), 1);
+    }
+
+    fn op(id: u64, op: jiffy_proto::DsOp) -> Envelope {
+        Envelope::DataReq {
+            id,
+            req: DataRequest::Op {
+                block: jiffy_common::BlockId(1),
+                op,
+            },
+            tenant: jiffy_common::TenantId::ANONYMOUS,
+        }
+    }
+
+    fn batch(id: u64, ops: Vec<jiffy_proto::DsOp>) -> Envelope {
+        Envelope::DataReq {
+            id,
+            req: DataRequest::Batch {
+                block: jiffy_common::BlockId(1),
+                ops,
+                rids: vec![],
+            },
+            tenant: jiffy_common::TenantId::ANONYMOUS,
+        }
+    }
+
+    #[test]
+    fn reads_re_execute_while_mutations_replay() {
+        use jiffy_proto::DsOp;
+        let get = || DsOp::Get { key: "k".into() };
+        let put = || DsOp::Put {
+            key: "k".into(),
+            value: "v".into(),
+        };
+        let custom = || DsOp::Custom {
+            ds: "counter".into(),
+            op: "incr".into(),
+            payload: "".into(),
+        };
+        // (request, must it replay?)
+        let cases = [
+            (op(1, get()), false),
+            (
+                batch(2, vec![get(), DsOp::Exists { key: "k".into() }]),
+                false,
+            ),
+            (op(3, put()), true),
+            (op(4, DsOp::Dequeue), true),
+            (op(5, custom()), true),
+            (batch(6, vec![get(), put()]), true),
+        ];
+        for (req, replays) in cases {
+            let d = svc();
+            let s = session();
+            let first = d.handle(req.clone(), &s);
+            let second = d.handle(req.clone(), &s);
+            assert_eq!(first == second, replays, "{req:?}");
+            assert_eq!(
+                d.inner().executed.load(Ordering::SeqCst),
+                if replays { 1 } else { 2 },
+                "{req:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn session_cache_stays_under_its_byte_cap() {
+        /// Answers every request with a 300 KiB payload.
+        struct Large;
+        impl Service for Large {
+            fn handle(&self, req: Envelope, _s: &SessionHandle) -> Envelope {
+                let Envelope::DataReq { id, .. } = req else {
+                    unreachable!()
+                };
+                Envelope::DataResp {
+                    id,
+                    resp: Ok(DataResponse::OpResult(DsResult::Data(
+                        vec![7u8; 300 * 1024].into(),
+                    ))),
+                }
+            }
+        }
+        let d = Deduplicated::new(Large);
+        let s = session();
+        for id in 1..=10 {
+            d.handle(op(id, jiffy_proto::DsOp::Dequeue), &s);
+            let sessions = d.sessions.lock();
+            let w = &sessions[&s.id()];
+            assert!(w.bytes() <= DEDUP_BYTES_PER_SESSION, "{w:?}");
+            assert!(w.bytes() >= 300 * 1024, "entries carry their encoded size");
+        }
+        let sessions = d.sessions.lock();
+        assert_eq!(
+            sessions[&s.id()].len(),
+            3,
+            "three 300 KiB replies fit 1 MiB"
+        );
     }
 
     #[test]

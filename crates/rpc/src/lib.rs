@@ -10,12 +10,13 @@
 //! - [`inproc`] — a zero-copy in-process transport (used by tests, the
 //!   simulator and single-process deployments).
 //! - [`reactor`] — the vendored epoll reactor core: readiness-driven
-//!   event loop, fixed worker pool, per-socket egress queues and the
-//!   sharded waiter table (DESIGN.md §12).
-//! - [`tcp`] — a framed TCP transport on the reactor: one event loop
-//!   multiplexes every session, so thousands of concurrent connections
-//!   cost zero threads, with concurrent in-flight requests per
-//!   connection.
+//!   event loop, run-to-completion session executors, per-socket egress
+//!   queues and the sharded waiter table with its reader role
+//!   (DESIGN.md §12).
+//! - [`tcp`] — a framed TCP transport on the reactor: a fixed set of
+//!   executors serves every session, so thousands of concurrent
+//!   connections cost zero threads, with concurrent in-flight requests
+//!   per connection whose callers read their own replies.
 //! - [`fabric`] — unified addressing (`inproc:N` / `tcp:host:port`),
 //!   connection pooling and an optional latency injector for experiments.
 //! - [`fault`] — seeded, deterministic fault injection ([`FaultInjector`]
@@ -42,8 +43,8 @@ pub use fabric::{Fabric, LatencyInjector};
 pub use fault::{ChaosConn, FaultInjector, FaultRule, FaultStats};
 pub use inproc::InprocHub;
 pub use reactor::{
-    EgressQueue, EgressSink, EventHandler, Interest, Reactor, SendStatus, WaiterSlot, WaiterTable,
-    WorkerPool,
+    EgressQueue, EgressSink, EventHandler, Executors, Interest, Reactor, Reader, SendStatus,
+    ServeGate, Session, WaiterSlot, WaiterTable, Wake,
 };
 pub use retry::RetryPolicy;
 pub use service::{ClientConn, PushCallback, Service, SessionHandle};

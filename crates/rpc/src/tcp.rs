@@ -6,43 +6,52 @@
 //! connection, with server pushes ([`Envelope::Push`]) arriving on the
 //! same socket at any time.
 //!
-//! Since the c10k rewrite the transport is **readiness-driven** (see
-//! [`crate::reactor`] and DESIGN.md §12) instead of thread-per-
-//! connection:
+//! The transport is **readiness-driven and run-to-completion** (see
+//! [`crate::reactor`] and DESIGN.md §12): a request is executed on the
+//! thread that read it, and a reply is read by the thread waiting for it.
 //!
-//! - each [`serve_tcp`] server runs one [`Reactor`] thread multiplexing
-//!   the listener plus every session socket (all nonblocking), and a
-//!   fixed [`WorkerPool`] (size [`jiffy_common::rpc_workers`]) that
-//!   executes decoded requests — thousands of idle sessions cost zero
-//!   threads;
-//! - incoming bytes are reassembled by [`FrameAssembler`] and queued per
-//!   session; a session's frames execute **in order** (an inbox +
-//!   `scheduled` flag make the session a tiny actor), preserving the
-//!   serial semantics of the old per-connection thread. When a session's
-//!   inbox exceeds [`jiffy_common::rpc_inbox_limit`], its read interest
-//!   is dropped until the workers catch up (TCP backpressure instead of
-//!   unbounded buffering);
+//! - each [`serve_tcp`] server runs one acceptor [`Reactor`] thread for
+//!   the listener and a fixed set of [`Executors`] (size
+//!   [`jiffy_common::rpc_workers`]) that all block in `epoll_wait` on one
+//!   epoll fd holding every session socket, armed `EPOLLONESHOT`. The
+//!   executor that receives a session's readiness reads it, reassembles
+//!   frames with [`FrameAssembler`], executes the complete ones in order,
+//!   replies, and re-arms the session — thousands of idle sessions cost
+//!   zero threads. A session is not read while it is being served, so a
+//!   slow handler pushes back on its peer through TCP flow control, and
+//!   requests on one session execute serially, exactly like the old
+//!   per-connection thread;
 //! - outgoing frames go through a per-socket [`EgressQueue`] — the PR 4
 //!   corked writer adapted to nonblocking sockets: concurrent senders
 //!   still collapse into single large writes, and on `WouldBlock` the
-//!   frames park until the reactor reports writability;
-//! - client connections share a small process-wide reactor pool
-//!   ([`jiffy_common::rpc_client_reactors`] threads) that demuxes
-//!   replies straight into the PR 4 sharded [`WaiterTable`] — the
-//!   per-connection demux thread is gone, so a process can hold
-//!   thousands of dialed connections.
+//!   frames park until the socket reports writability (the executor
+//!   serving a session, which would receive that report, drains its own
+//!   socket instead when over the cap);
+//! - on a client connection, a caller that has sent its request and
+//!   finds the reader role free takes it and polls the socket against
+//!   its own deadline, demuxing every frame it reads: other callers'
+//!   replies go into their [`WaiterTable`] slots and pushes to the
+//!   [`PushSlot`]. Once its own reply is in, it hands the role to
+//!   another live waiter whose request is sent. A small
+//!   process-wide pool of client reactors
+//!   ([`jiffy_common::rpc_client_reactors`] threads) reads only the
+//!   connections no caller is waiting on — pushes to idle listeners.
+//!
+//! Push callbacks therefore run on whichever thread reads the
+//! connection: a caller's or a client reactor's. They must not call on
+//! the connection that delivered them (the nested call would wait for a
+//! reader that is itself).
 //!
 //! The data-plane fast path survives unchanged: encodes go through a
 //! reusable scratch buffer ([`jiffy_proto::to_bytes_into`]), steady-state
 //! calls park in pooled waiter slots without allocating, and frame
-//! payload buffers are recycled per session.
+//! payload buffers are reused per session.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jiffy_common::config::call_timeout;
 use jiffy_common::{JiffyError, Result};
@@ -51,15 +60,17 @@ use jiffy_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use jiffy_sync::{Arc, Mutex, Weak};
 
 use crate::reactor::{
-    EgressQueue, EventHandler, Interest, Reactor, SendStatus, WaiterTable, WorkerPool,
+    EgressQueue, EventHandler, Executors, Interest, Reactor, Reader, SendStatus, ServeGate,
+    Session, WaiterTable, Wake,
 };
 use crate::service::{ClientConn, Connection, PushCallback, PushSlot, Service, SessionHandle};
 
 /// How many bytes one readiness dispatch reads per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Recycled payload buffers kept per session.
-const SPARE_BUFFERS: usize = 8;
+/// How long a serving executor waits on its full session socket before
+/// it re-checks for shutdown (see [`EgressQueue::send_draining`]).
+const EGRESS_POLL_MS: i32 = 100;
 
 /// Counters for the TCP transport itself (the accept path and its
 /// sessions), in the same snapshot style as the fault injector's
@@ -69,7 +80,7 @@ pub struct TransportStats {
     /// Connections accepted by the listener.
     pub accepted: u64,
     /// Accepted connections dropped because the session could not be
-    /// registered with the reactor (the rewrite's analogue of the old
+    /// registered with the executors (the analogue of the old
     /// session-thread spawn failure — previously a silent `let _ =`).
     pub spawn_failures: u64,
     /// Transient accept-loop errors.
@@ -112,12 +123,12 @@ fn take_one(counter: &AtomicU64) -> bool {
 
 /// Handle to a running TCP server; dropping it (or calling
 /// [`TcpServerHandle::shutdown`]) closes the listener and tears down the
-/// reactor, its sessions, and the worker pool.
+/// acceptor, the sessions, and the executors.
 pub struct TcpServerHandle {
     addr: String,
     stop: Arc<AtomicBool>,
-    reactor: Arc<Reactor>,
-    pool: Arc<WorkerPool<Arc<ServerSession>>>,
+    acceptor: Arc<Reactor>,
+    executors: Arc<Executors>,
     listener: Arc<ListenerHandler>,
     listener_token: u64,
     cells: Arc<TransportCells>,
@@ -135,22 +146,9 @@ impl TcpServerHandle {
         self.cells.snapshot()
     }
 
-    /// Sessions currently registered with the server's reactor.
+    /// Sessions currently registered with the server's executors.
     pub fn live_sessions(&self) -> usize {
-        // The listener itself occupies one registration until shutdown.
-        let n = self.reactor.registered();
-        if self.stop.load(Ordering::SeqCst) {
-            n
-        } else {
-            n.saturating_sub(1)
-        }
-    }
-
-    /// Request frames decoded but not yet picked up by a worker, plus
-    /// worker threads serving this listener — test/bench introspection.
-    #[doc(hidden)]
-    pub fn worker_backlog(&self) -> usize {
-        self.pool.backlog()
+        self.executors.registered()
     }
 
     /// Makes the accept path report `n` synthetic transient errors (one
@@ -173,21 +171,22 @@ impl TcpServerHandle {
             .fetch_add(n, Ordering::SeqCst);
     }
 
-    /// Stops the server: the listener closes (new dials are refused),
-    /// live sessions are torn down, and the reactor + worker threads are
-    /// joined. Clients with pooled connections observe broken sockets
+    /// Stops the server: the listener closes (new dials are refused), the
+    /// acceptor is joined, and the executors shut down, dropping every
+    /// session. Clients with pooled connections observe broken sockets
     /// and evict them — exactly what a server crash looks like.
     pub fn shutdown(&mut self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
             // Closing the listener fd refuses new dials immediately and
             // unblocks nothing: the accept path is readiness-driven.
             *self.listener.listener.lock() = None;
-            self.reactor
+            self.acceptor
                 .deregister(self.listener_token, self.listener.fd);
-            // Joining the reactor drops every session handler: session
-            // sockets close and peers see EOF/reset.
-            self.reactor.shutdown();
-            self.pool.shutdown();
+            self.acceptor.shutdown();
+            // Joins idle executors (detaching any stuck in a handler after
+            // a grace period) and drops the sessions: their sockets close
+            // and peers see EOF/reset.
+            self.executors.shutdown();
         }
     }
 }
@@ -203,21 +202,20 @@ impl Drop for TcpServerHandle {
 ///
 /// # Errors
 ///
-/// Fails if the listener cannot bind or the reactor/worker threads cannot
-/// be spawned.
+/// Fails if the listener cannot bind or the acceptor/executor threads
+/// cannot be spawned.
 pub fn serve_tcp(bind: &str, service: Arc<dyn Service>) -> Result<TcpServerHandle> {
     let listener = TcpListener::bind(bind)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let reactor = Reactor::start(&format!("srv-{}", local.port()))?;
-    let pool = match WorkerPool::start(
+    let executors = Executors::start(
         jiffy_common::rpc_workers(),
-        &format!("jiffy-rpc-worker-{}", local.port()),
-        |sess: Arc<ServerSession>| sess.process(),
-    ) {
-        Ok(p) => Arc::new(p),
+        &format!("jiffy-rpc-exec-{}", local.port()),
+    )?;
+    let acceptor = match Reactor::start(&format!("srv-{}", local.port())) {
+        Ok(r) => r,
         Err(e) => {
-            reactor.shutdown();
+            executors.shutdown();
             return Err(e);
         }
     };
@@ -230,24 +228,22 @@ pub fn serve_tcp(bind: &str, service: Arc<dyn Service>) -> Result<TcpServerHandl
         listener: Mutex::new(Some(listener)),
         cells: cells.clone(),
         service,
-        reactor: reactor.clone(),
-        pool: pool.clone(),
-        inbox_limit: jiffy_common::rpc_inbox_limit().max(1),
+        executors: executors.clone(),
         stop: stop.clone(),
     });
-    let listener_token = match reactor.register(handler.clone(), true, false) {
+    let listener_token = match acceptor.register(handler.clone(), true, false) {
         Ok(t) => t,
         Err(e) => {
-            reactor.shutdown();
-            pool.shutdown();
+            acceptor.shutdown();
+            executors.shutdown();
             return Err(e);
         }
     };
     Ok(TcpServerHandle {
         addr: format!("tcp:{local}"),
         stop,
-        reactor,
-        pool,
+        acceptor,
+        executors,
         listener: handler,
         listener_token,
         cells,
@@ -255,7 +251,7 @@ pub fn serve_tcp(bind: &str, service: Arc<dyn Service>) -> Result<TcpServerHandl
 }
 
 /// The listener's event handler: accepts ready connections and registers
-/// each as a [`ServerSession`] with the same reactor.
+/// each as a [`ServerSession`] with the executors.
 struct ListenerHandler {
     fd: RawFd,
     local: String,
@@ -263,9 +259,7 @@ struct ListenerHandler {
     listener: Mutex<Option<TcpListener>>,
     cells: Arc<TransportCells>,
     service: Arc<dyn Service>,
-    reactor: Arc<Reactor>,
-    pool: Arc<WorkerPool<Arc<ServerSession>>>,
-    inbox_limit: usize,
+    executors: Arc<Executors>,
     stop: Arc<AtomicBool>,
 }
 
@@ -278,7 +272,7 @@ impl ListenerHandler {
         stream.set_nonblocking(true)?;
         let egress_stream = stream.try_clone()?;
         let fd = stream.as_raw_fd();
-        let token = self.reactor.token();
+        let token = self.executors.token();
         let sess = Arc::new_cyclic(|weak: &Weak<ServerSession>| {
             let w = weak.clone();
             let session = SessionHandle::new(Arc::new(move |n| {
@@ -290,7 +284,10 @@ impl ListenerHandler {
                     }
                     if let Ok(bytes) = to_bytes(&Envelope::Push(n)) {
                         if matches!(s.egress.send(&bytes), Ok(SendStatus::Parked)) {
-                            s.refresh_interest();
+                            // Re-arms for writability only if no executor
+                            // is serving the session; one that is re-arms
+                            // from live state on its way out.
+                            let _ = s.gate.kick(|| s.executors.rearm(s.token, s.as_ref()));
                         }
                     }
                 }
@@ -298,26 +295,18 @@ impl ListenerHandler {
             ServerSession {
                 stream,
                 fd,
+                executors: self.executors.clone(),
                 token,
-                reactor: self.reactor.clone(),
-                pool: self.pool.clone(),
                 cells: self.cells.clone(),
                 service: self.service.clone(),
                 session,
                 egress: EgressQueue::new(egress_stream),
-                interest: Interest::new(true, false),
-                assembler: Mutex::new(FrameAssembler::new()),
-                inbox: Mutex::new(VecDeque::new()),
-                spares: Mutex::new(Vec::new()),
-                inbox_limit: self.inbox_limit,
-                scheduled: AtomicBool::new(false),
-                paused: AtomicBool::new(false),
-                eof: AtomicBool::new(false),
+                gate: ServeGate::default(),
+                scratch: Mutex::new(Scratch::default()),
                 closed: AtomicBool::new(false),
-                weak_self: weak.clone(),
             }
         });
-        self.reactor.register_at(token, sess, true, false)
+        self.executors.register_at(token, sess)
     }
 }
 
@@ -383,229 +372,140 @@ impl EventHandler for ListenerHandler {
     }
 }
 
-/// One accepted connection: a tiny actor. The reactor thread reassembles
-/// frames into `inbox`; at most one worker at a time (the `scheduled`
-/// flag) drains the inbox in FIFO order, executing the service handler
-/// and replying through the egress queue — so requests on one session
+/// Frame reassembly state and scratch buffers of one session. Only the
+/// executor serving the session touches them: it takes them out of the
+/// mutex for the whole serve and puts them back after.
+#[derive(Default)]
+struct Scratch {
+    assembler: FrameAssembler,
+    /// Request payload, reused across frames.
+    payload: Vec<u8>,
+    /// Encoded reply, reused across frames.
+    out: Vec<u8>,
+}
+
+/// One accepted connection, served run-to-completion: the executor that
+/// receives its readiness reads it, executes each complete request frame
+/// in order and replies through the egress queue. The [`ServeGate`]
+/// keeps it on one executor at a time, so requests on one session
 /// execute serially, exactly like the old per-connection thread.
 struct ServerSession {
     stream: TcpStream,
     fd: RawFd,
+    executors: Arc<Executors>,
     token: u64,
-    reactor: Arc<Reactor>,
-    pool: Arc<WorkerPool<Arc<ServerSession>>>,
     cells: Arc<TransportCells>,
     service: Arc<dyn Service>,
     session: SessionHandle,
     egress: EgressQueue<TcpStream>,
-    interest: Interest,
-    assembler: Mutex<FrameAssembler>,
-    /// Decoded-but-unexecuted request frames (payload bytes).
-    inbox: Mutex<VecDeque<Vec<u8>>>,
-    /// Recycled payload buffers.
-    spares: Mutex<Vec<Vec<u8>>>,
-    inbox_limit: usize,
-    /// A worker run is queued or active for this session.
-    scheduled: AtomicBool,
-    /// Read interest dropped because the inbox hit its limit.
-    paused: AtomicBool,
-    /// Peer EOF / fatal transport error observed; finalize after the
-    /// inbox drains.
-    eof: AtomicBool,
-    /// Finalized (on_disconnect ran, fd deregistered). Terminal.
+    gate: ServeGate,
+    scratch: Mutex<Scratch>,
+    /// Finalized (fd deregistered, on_disconnect ran). Terminal.
     closed: AtomicBool,
-    weak_self: Weak<ServerSession>,
 }
 
 impl ServerSession {
-    /// Recomputes epoll interest from live state: read while not paused
-    /// or dead, write while the egress queue owes a drain.
-    fn refresh_interest(&self) {
-        let _ = self
-            .interest
-            .update(&self.reactor, self.token, self.fd, |_, _| {
-                (
-                    !self.paused.load(Ordering::SeqCst) && !self.eof.load(Ordering::SeqCst),
-                    self.egress.needs_write(),
-                )
-            });
-    }
-
-    /// Ensures a worker run is queued (at most one at a time).
-    fn schedule(&self) {
-        if !self.scheduled.swap(true, Ordering::SeqCst) {
-            if let Some(me) = self.weak_self.upgrade() {
-                if !self.pool.submit(me) {
-                    self.scheduled.store(false, Ordering::SeqCst);
-                }
-            }
-        }
-    }
-
-    /// Reactor thread: feeds raw bytes through the frame assembler into
-    /// the inbox.
-    fn ingest(&self, bytes: &[u8]) -> Result<()> {
-        let mut asm = self.assembler.lock();
-        asm.push(bytes);
+    /// Reads the socket until it is drained, executing every complete
+    /// frame as it arrives. Returns `false` when the session must close
+    /// (peer EOF, read error, oversized frame, or a failed request).
+    fn read_and_execute(&self, sc: &mut Scratch) -> bool {
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            let mut payload = self.spares.lock().pop().unwrap_or_default();
-            match asm.next_frame_into(&mut payload)? {
-                Some(_) => self.inbox.lock().push_back(payload),
-                None => {
-                    self.recycle(payload);
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    fn recycle(&self, mut payload: Vec<u8>) {
-        payload.clear();
-        let mut spares = self.spares.lock();
-        if spares.len() < SPARE_BUFFERS {
-            spares.push(payload);
-        }
-    }
-
-    /// Worker thread: drains the inbox, executing requests in order.
-    fn process(&self) {
-        let mut out = Vec::new();
-        loop {
-            let next = self.inbox.lock().pop_front();
-            match next {
-                Some(payload) => {
-                    if self.paused.load(Ordering::SeqCst) {
-                        let len = self.inbox.lock().len();
-                        if len * 2 <= self.inbox_limit && self.paused.swap(false, Ordering::SeqCst)
-                        {
-                            self.refresh_interest();
+            match (&self.stream).read(&mut chunk) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    sc.assembler.push(&chunk[..n]);
+                    loop {
+                        match sc.assembler.next_frame_into(&mut sc.payload) {
+                            Ok(Some(_)) => {
+                                if !self.execute(&sc.payload, &mut sc.out) {
+                                    return false;
+                                }
+                            }
+                            Ok(None) => break,
+                            // Oversized frame prefix: protocol violation.
+                            Err(_) => return false,
                         }
                     }
-                    if !self.execute(&payload, &mut out) {
-                        self.recycle(payload);
-                        self.finalize();
-                        return;
+                    // A short read means the socket buffer is drained —
+                    // skip the would-be-EAGAIN syscall. Bytes that race
+                    // in are reported again once the session is re-armed.
+                    if n < READ_CHUNK {
+                        return true;
                     }
-                    self.recycle(payload);
                 }
-                None => {
-                    if self.eof.load(Ordering::SeqCst) {
-                        self.finalize();
-                        return;
-                    }
-                    self.scheduled.store(false, Ordering::SeqCst);
-                    // Re-check: the reactor may have queued work between
-                    // our empty pop and the flag clear (it saw
-                    // `scheduled` still set and skipped submitting).
-                    let more = self.eof.load(Ordering::SeqCst) || !self.inbox.lock().is_empty();
-                    if more && !self.scheduled.swap(true, Ordering::SeqCst) {
-                        continue;
-                    }
-                    return;
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
             }
         }
     }
 
-    /// Runs one request; false breaks the session (mirrors the old
-    /// session loop's `break` on decode/encode/write errors).
+    /// Runs one request; false breaks the session (decode, encode or
+    /// write errors).
     fn execute(&self, payload: &[u8], out: &mut Vec<u8>) -> bool {
-        let env: Envelope = match from_bytes(payload) {
-            Ok(e) => e,
-            Err(_) => {
-                self.eof.store(true, Ordering::SeqCst);
-                return false;
-            }
+        let Ok(env) = from_bytes::<Envelope>(payload) else {
+            return false;
         };
         let resp = self.service.handle(env, &self.session);
         if to_bytes_into(&resp, out).is_err() {
-            self.eof.store(true, Ordering::SeqCst);
             return false;
         }
-        match self.egress.send(out) {
-            Ok(SendStatus::Flushed) => true,
-            Ok(SendStatus::Parked) => {
-                self.refresh_interest();
-                true
-            }
-            Err(_) => {
-                self.eof.store(true, Ordering::SeqCst);
-                false
-            }
-        }
+        // A parked reply needs no action here: the serving executor
+        // re-arms with write interest when it finishes. Over the egress
+        // cap it cannot wait for that event — it is the thread that would
+        // receive it — so it drains its own socket until there is room.
+        self.egress
+            .send_draining(out, || {
+                if self.executors.is_stopped() {
+                    return Err(JiffyError::Rpc("server shutting down".into()));
+                }
+                crate::reactor::poll_writable(self.fd, EGRESS_POLL_MS)
+                    .map(|_| ())
+                    .map_err(|e| JiffyError::Rpc(format!("poll for writability: {e}")))
+            })
+            .is_ok()
     }
 
     /// Tears the session down exactly once: deregisters the fd, runs
     /// `on_disconnect`, breaks the egress queue.
     fn finalize(&self) {
         if !self.closed.swap(true, Ordering::SeqCst) {
-            self.reactor.deregister(self.token, self.fd);
+            self.executors.deregister(self.token, self.fd);
             self.service.on_disconnect(&self.session);
             self.egress.fail("session closed");
-            self.inbox.lock().clear();
             self.cells.sessions_closed.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-impl EventHandler for ServerSession {
+impl Session for ServerSession {
     fn fd(&self) -> RawFd {
         self.fd
     }
 
-    fn on_ready(&self, readable: bool, writable: bool) -> bool {
+    fn gate(&self) -> &ServeGate {
+        &self.gate
+    }
+
+    fn serve(&self, readable: bool, writable: bool) -> bool {
         if self.closed.load(Ordering::SeqCst) {
             return false;
         }
-        if writable {
-            match self.egress.on_writable() {
-                Ok(SendStatus::Flushed) => self.refresh_interest(),
-                Ok(SendStatus::Parked) => {}
-                Err(_) => {
-                    self.eof.store(true, Ordering::SeqCst);
-                }
-            }
+        let mut alive = !writable || self.egress.on_writable().is_ok();
+        if alive && readable {
+            let mut sc = std::mem::take(&mut *self.scratch.lock());
+            alive = self.read_and_execute(&mut sc);
+            *self.scratch.lock() = sc;
         }
-        if readable && !self.eof.load(Ordering::SeqCst) && !self.paused.load(Ordering::SeqCst) {
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match (&self.stream).read(&mut chunk) {
-                    Ok(0) => {
-                        self.eof.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    Ok(n) => {
-                        if self.ingest(&chunk[..n]).is_err() {
-                            // Oversized frame prefix: protocol violation.
-                            self.eof.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                        // A short read means the socket buffer is drained
-                        // — skip the would-be-EAGAIN syscall. Any bytes
-                        // that race in will refire the level-triggered
-                        // epoll.
-                        if n < READ_CHUNK {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.eof.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                }
-            }
-            if self.inbox.lock().len() >= self.inbox_limit
-                && !self.paused.swap(true, Ordering::SeqCst)
-            {
-                self.refresh_interest();
-            }
+        if !alive {
+            self.finalize();
         }
-        if self.eof.load(Ordering::SeqCst) || !self.inbox.lock().is_empty() {
-            self.schedule();
-        }
-        true
+        alive
+    }
+
+    fn wants_write(&self) -> bool {
+        self.egress.needs_write()
     }
 }
 
@@ -682,13 +582,14 @@ pub fn connect_tcp(addr: &str) -> Result<ClientConn> {
 #[derive(Default)]
 struct ClientAssembler {
     assembler: FrameAssembler,
-    /// Payload scratch reused across frames and dispatches.
+    /// Payload scratch reused across frames and reads.
     payload: Vec<u8>,
 }
 
 /// Client-side connection state shared between the caller-facing
-/// [`TcpConn`] and the reactor (which is this type's [`EventHandler`]
-/// impl: it demuxes replies into the waiter table and delivers pushes).
+/// [`TcpConn`] — whose callers read the socket while they hold the
+/// reader role — and the client reactor, which reads it only while the
+/// role is free (this type's [`EventHandler`] impl).
 struct ClientShared {
     stream: TcpStream,
     fd: RawFd,
@@ -711,10 +612,12 @@ impl ClientShared {
         Ok(())
     }
 
+    /// Recomputes the reactor's interest from live state: read while no
+    /// caller holds the reader role, write while egress owes a drain.
     fn refresh_interest(&self) -> Result<()> {
         self.interest
             .update(&self.reactor, self.token, self.fd, |_, _| {
-                (true, self.egress.needs_write())
+                (!self.waiters.caller_reads(), self.egress.needs_write())
             })
     }
 
@@ -730,16 +633,73 @@ impl ClientShared {
 
     fn close_conn(&self) {
         if !self.closed.swap(true, Ordering::SeqCst) {
-            // The reactor observes the shutdown as EOF and deregisters.
+            // The reader (a caller's poll, or the reactor once the role
+            // is free) observes the shutdown as EOF.
             let _ = self.stream.shutdown(std::net::Shutdown::Both);
             self.egress.fail("connection closed");
-            // Wake all pending waiters promptly; the reactor fails any
-            // stragglers when it processes the EOF.
+            // Wake all pending waiters promptly.
             self.waiters.fail_all("connection closed");
         }
     }
 
-    /// Dispatches one decoded reply envelope.
+    /// Reads everything the socket holds and demuxes every complete
+    /// frame. Only the reader-role holder calls this. Returns `false`
+    /// once the connection is dead (every waiter has been failed).
+    fn pump(&self) -> bool {
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut saw_eof = false;
+        loop {
+            match (&self.stream).read(&mut chunk) {
+                Ok(0) => {
+                    saw_eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.assembler.lock().assembler.push(&chunk[..n]);
+                    // Short read ⇒ socket drained; skip the EAGAIN
+                    // syscall (the next poll or readiness report sees
+                    // bytes that race in).
+                    if n < READ_CHUNK {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    saw_eof = true;
+                    break;
+                }
+            }
+        }
+        // Deliver outside the assembler lock: waiter delivery and push
+        // callbacks must not nest under it.
+        let mut payload = std::mem::take(&mut self.assembler.lock().payload);
+        loop {
+            let got = self
+                .assembler
+                .lock()
+                .assembler
+                .next_frame_into(&mut payload);
+            match got {
+                Ok(Some(_)) => {
+                    if self.dispatch(&payload).is_err() {
+                        return self.dead();
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => return self.dead(),
+            }
+        }
+        self.assembler.lock().payload = payload;
+        if saw_eof {
+            return self.dead();
+        }
+        true
+    }
+
+    /// Dispatches one decoded envelope: a reply to its waiter (whoever
+    /// that is — possibly the reading caller itself), a push to the
+    /// callback.
     fn dispatch(&self, payload: &[u8]) -> Result<()> {
         match from_bytes::<Envelope>(payload)? {
             Envelope::Push(n) => self.push.deliver(n),
@@ -757,6 +717,32 @@ impl ClientShared {
             _ => {}
         }
         Ok(())
+    }
+
+    /// Caller side, while holding the reader role: waits up to
+    /// `remaining` for the socket to turn readable, then pumps it.
+    fn read_for(&self, remaining: Duration) {
+        let ms = remaining
+            .as_micros()
+            .div_ceil(1000)
+            .clamp(1, i32::MAX as u128) as i32;
+        match crate::reactor::poll_readable(self.fd, ms) {
+            Ok(true) => {
+                self.pump();
+            }
+            Ok(false) => {}
+            Err(_) => {
+                self.dead();
+            }
+        }
+    }
+
+    /// Hands the reader role on if `who` holds it, re-arming the
+    /// reactor's read interest when the role went free.
+    fn release_reader(&self, who: Reader) {
+        if self.waiters.release_reader(who) {
+            let _ = self.refresh_interest();
+        }
     }
 }
 
@@ -780,53 +766,16 @@ impl EventHandler for ClientShared {
             }
         }
         if readable {
-            let mut chunk = [0u8; READ_CHUNK];
-            let mut saw_eof = false;
-            loop {
-                match (&self.stream).read(&mut chunk) {
-                    Ok(0) => {
-                        saw_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.assembler.lock().assembler.push(&chunk[..n]);
-                        // Short read ⇒ socket drained; skip the EAGAIN
-                        // syscall (level-triggered epoll refires if more
-                        // bytes race in).
-                        if n < READ_CHUNK {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        saw_eof = true;
-                        break;
-                    }
-                }
+            if !self.waiters.take_reader(Reader::Reactor) {
+                // A caller is reading this socket: stop reporting it here
+                // until the role comes back.
+                let _ = self.refresh_interest();
+                return true;
             }
-            // Deliver outside the assembler lock: waiter delivery and push
-            // callbacks must not nest under it.
-            let mut payload = std::mem::take(&mut self.assembler.lock().payload);
-            loop {
-                let got = self
-                    .assembler
-                    .lock()
-                    .assembler
-                    .next_frame_into(&mut payload);
-                match got {
-                    Ok(Some(_)) => {
-                        if self.dispatch(&payload).is_err() {
-                            return self.dead();
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => return self.dead(),
-                }
-            }
-            self.assembler.lock().payload = payload;
-            if saw_eof {
-                return self.dead();
+            let alive = self.pump();
+            self.release_reader(Reader::Reactor);
+            if !alive {
+                return false;
             }
         }
         true
@@ -834,7 +783,8 @@ impl EventHandler for ClientShared {
 }
 
 /// Caller-facing TCP connection: stamps correlation ids, parks in the
-/// waiter table, and enforces the call timeout.
+/// waiter table or reads the socket itself, and enforces the call
+/// timeout.
 struct TcpConn {
     shared: Arc<ClientShared>,
     next_id: AtomicU64,
@@ -875,6 +825,7 @@ impl Connection for TcpConn {
             shared.waiters.unregister(id, &slot);
             return Err(JiffyError::Rpc("connection closed".into()));
         }
+        let me = Reader::Caller(id);
         let sent = ENCODE_BUF.with(|b| -> Result<()> {
             let mut buf = b.borrow_mut();
             to_bytes_into(&req, &mut buf)?;
@@ -886,28 +837,62 @@ impl Connection for TcpConn {
             }
             return Err(e);
         }
+        // Take the reader role only once the request is on its way: a
+        // send can wait on the egress cap, and a sender must never hold
+        // the role meanwhile — nobody would read the connection, so the
+        // server could not drain its replies and the two sides would
+        // block on each other. A reply the reactor reads first is in our
+        // slot, where the loop below finds it.
+        slot.mark_sent();
+        let mut reading = shared.waiters.take_reader(me);
+        if reading {
+            let _ = shared.refresh_interest();
+        }
         let timeout = call_timeout();
-        match slot.wait_for_reply(timeout) {
-            Some(resp) => {
+        let deadline = Instant::now() + timeout;
+        let outcome = loop {
+            if reading {
+                if let Some(r) = slot.take_reply() {
+                    break Some(r);
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    break None;
+                }
+                shared.read_for(deadline - now);
+                continue;
+            }
+            match slot.wait(Some(deadline)) {
+                Wake::Reply(r) => break Some(r),
+                // The lead is a hint; the table says who really reads.
+                Wake::Lead => reading = shared.waiters.reader() == me,
+                Wake::Timeout => break None,
+            }
+        };
+        let resp = match outcome {
+            Some(r) => {
                 shared.waiters.recycle(id, slot);
-                resp
+                r
+            }
+            None if shared.waiters.unregister(id, &slot) => {
+                // A late reply is discarded by whoever reads it.
+                shared.waiters.recycle(id, slot);
+                Err(JiffyError::Timeout {
+                    after_ms: timeout.as_millis() as u64,
+                })
             }
             None => {
-                if shared.waiters.unregister(id, &slot) {
-                    // Late replies are discarded by the reactor.
-                    shared.waiters.recycle(id, slot);
-                    Err(JiffyError::Timeout {
-                        after_ms: timeout.as_millis() as u64,
-                    })
-                } else {
-                    // The reactor claimed the slot right as the deadline
-                    // expired; delivery is imminent.
-                    let resp = slot.wait_reply();
-                    shared.waiters.recycle(id, slot);
-                    resp
-                }
+                // The demux side claimed the slot right as the deadline
+                // expired; delivery is imminent.
+                let r = slot.wait_reply();
+                shared.waiters.recycle(id, slot);
+                r
             }
-        }
+        };
+        // Our slot has left the table, so the role (if we hold it) goes
+        // to another live, sent waiter, or back to the reactor.
+        shared.release_reader(me);
+        resp
     }
 
     fn set_push_callback(&self, cb: PushCallback) {

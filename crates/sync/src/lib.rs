@@ -93,7 +93,6 @@ pub const LOOM: bool = cfg!(feature = "loom");
 mod tests {
     use super::atomic::{AtomicUsize, Ordering};
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
     #[test]
@@ -162,6 +161,7 @@ mod tests {
     #[cfg(all(debug_assertions, not(feature = "loom")))]
     mod order_tracking {
         use super::*;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
 
         #[test]
         fn recursive_lock_panics() {

@@ -5,6 +5,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+#[cfg(debug_assertions)]
 use std::panic::Location;
 use std::sync::{self, WaitTimeoutResult};
 use std::time::Duration;
